@@ -1,10 +1,36 @@
 #include "common/rng.h"
 
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
 
 namespace ndpext {
+
+namespace {
+
+/** A 256-bit xoshiro state as a GF(2) vector, lane by lane. */
+using BitVec = std::array<std::uint64_t, 4>;
+/** A GF(2) linear map of states; column j is the image of state bit j. */
+using BitMatrix = std::array<BitVec, 256>;
+
+BitVec
+apply(const BitMatrix& m, const BitVec& v)
+{
+    BitVec out{};
+    for (int lane = 0; lane < 4; ++lane) {
+        for (std::uint64_t bits = v[lane]; bits != 0; bits &= bits - 1) {
+            const BitVec& col = m[lane * 64 + std::countr_zero(bits)];
+            for (int k = 0; k < 4; ++k) {
+                out[k] ^= col[k];
+            }
+        }
+    }
+    return out;
+}
+
+} // namespace
 
 Rng::Rng(std::uint64_t seed)
 {
@@ -23,6 +49,43 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
     NDP_ASSERT(lo <= hi);
     const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(nextBounded(span));
+}
+
+void
+Rng::advance(std::uint64_t n)
+{
+    if (n == 0) {
+        return;
+    }
+    // One draw is a linear map of the state, so its matrix is the state
+    // after one draw from each unit state.
+    BitMatrix step;
+    for (int j = 0; j < 256; ++j) {
+        std::uint64_t unit[4] = {};
+        unit[j / 64] = 1ULL << (j % 64);
+        Rng r;
+        r.setState(unit);
+        r.next();
+        r.state(step[j].data());
+    }
+    // Square-and-multiply; powers of one matrix commute, so the bits of
+    // n may be applied lowest first.
+    BitVec v{s_[0], s_[1], s_[2], s_[3]};
+    for (;;) {
+        if ((n & 1) != 0) {
+            v = apply(step, v);
+        }
+        n >>= 1;
+        if (n == 0) {
+            break;
+        }
+        BitMatrix squared;
+        for (int j = 0; j < 256; ++j) {
+            squared[j] = apply(step, step[j]);
+        }
+        step = squared;
+    }
+    setState(v.data());
 }
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta, std::uint64_t seed)

@@ -33,6 +33,13 @@ mix64(std::uint64_t x)
  * hundreds of millions of calls and the out-of-line call overhead
  * dominated graph construction. The generated sequences are identical
  * to the previous out-of-line definitions (same state transitions).
+ *
+ * advance(n) jumps the state exactly n draws ahead without making them.
+ * The state update is linear over GF(2), so it is one 256x256 bit
+ * matrix; advance raises it to the n-th power by repeated squaring
+ * (about 2 log2(n) matrix products) and applies it to the state. This
+ * lets workers split one seeded stream into disjoint, contiguous
+ * pieces and reproduce the serial draws bit for bit.
  */
 class Rng
 {
@@ -72,6 +79,9 @@ class Rng
 
     /** Uniform in [lo, hi]. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
+
+    /** Same state as n calls to next(), in O(log n) matrix products. */
+    void advance(std::uint64_t n);
 
     /** Bernoulli draw. */
     bool

@@ -44,7 +44,7 @@
 namespace ndpext {
 namespace ckpt {
 
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 constexpr char kCheckpointMagic[8] = {'N', 'D', 'P', 'X',
                                       'C', 'K', 'P', 'T'};
 

@@ -230,6 +230,12 @@ NdpSystem::setResume(const std::string& path, const Workload& workload,
                               &resumePayload_, error)) {
         return false;
     }
+    if (telemetry_ != nullptr) {
+        ckpt::Reader r(resumePayload_);
+        if (!telemetry_->checkPartFiles(r, error)) {
+            return false;
+        }
+    }
     resume_ = true;
     resumeEpoch_ = header.epoch;
     return true;
@@ -632,6 +638,10 @@ NdpSystem::run(const Workload& workload)
     // components. Section order is the restore order below.
     const auto snapshot = [&]() {
         ckpt::Writer w;
+        // Leads the image so setResume() can check the side files.
+        if (telemetry_ != nullptr) {
+            telemetry_->writePartCursors(w);
+        }
         w.section(0x0515);
         w.u64(completed_epochs);
         w.u64(next_epoch);
@@ -690,6 +700,10 @@ NdpSystem::run(const Workload& workload)
     // config-hash check, so any structural mismatch here is an internal
     // producer/consumer bug -- asserts, not recoverable errors.
     const auto restore = [&](ckpt::Reader& r) {
+        if (telemetry_ != nullptr) {
+            std::string why;
+            NDP_ASSERT(telemetry_->checkPartFiles(r, &why), why);
+        }
         r.section(0x0515);
         completed_epochs = r.u64();
         next_epoch = r.u64();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/atomic_file.h"
@@ -225,6 +226,57 @@ Telemetry::readPartText(const char* suffix, std::uint64_t expected_lines,
         return false;
     }
     return true;
+}
+
+namespace {
+
+/** The side files, in checkpoint cursor order. */
+constexpr const char* kPartSuffixes[] = {".metrics.part", ".trace.part",
+                                         ".decisions.part", ".exemplars.part"};
+
+} // namespace
+
+void
+Telemetry::writePartCursors(ckpt::Writer& w) const
+{
+    w.section(0x7E70);
+    w.u64(metrics_.flushedSamples());
+    w.u64(trace_.flushedEvents());
+    w.u64(decisions_.flushedRecords());
+    w.u64(reqTrace_.flushedExemplars());
+}
+
+bool
+Telemetry::checkPartFiles(ckpt::Reader& r, std::string* error) const
+{
+    r.section(0x7E70);
+    std::string why;
+    for (const char* suffix : kPartSuffixes) {
+        const std::uint64_t need = r.u64();
+        if (!why.empty() || need == 0 || cfg_.outPrefix.empty()) {
+            continue;
+        }
+        const std::string path = partPath(suffix);
+        std::ifstream is(path, std::ios::in | std::ios::binary);
+        if (!is) {
+            why = "cannot resume: telemetry side file '" + path
+                + "' is missing (the checkpoint needs its first "
+                + std::to_string(need) + " lines)";
+            continue;
+        }
+        const auto have = static_cast<std::uint64_t>(
+            std::count(std::istreambuf_iterator<char>(is),
+                       std::istreambuf_iterator<char>(), '\n'));
+        if (have < need) {
+            why = "cannot resume: telemetry side file '" + path + "' has "
+                + std::to_string(have) + " lines, the checkpoint needs "
+                + std::to_string(need);
+        }
+    }
+    if (!why.empty() && error != nullptr) {
+        *error = why;
+    }
+    return why.empty();
 }
 
 void

@@ -199,6 +199,18 @@ class Telemetry
     void serialize(ckpt::Writer& w) const;
     void deserialize(ckpt::Reader& r);
 
+    /**
+     * Resume pre-check. writePartCursors() records, at the head of a
+     * checkpoint payload, how many lines each .part side file held;
+     * checkPartFiles() reads those counts back before anything is
+     * restored and returns false with a diagnostic naming the file when
+     * one the image counts on is missing or shorter than its count
+     * (e.g. resuming from a completed run, whose writeAll() merged and
+     * removed them).
+     */
+    void writePartCursors(ckpt::Writer& w) const;
+    bool checkPartFiles(ckpt::Reader& r, std::string* error) const;
+
   private:
     void emitPacketTrace(const PacketSample& s);
     std::string partPath(const char* suffix) const;

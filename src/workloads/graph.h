@@ -35,9 +35,20 @@ struct CsrGraph
  * Generate an R-MAT graph with 2^scale vertices and
  * 2^scale * avg_degree directed edges (self-loops allowed, duplicates
  * kept -- both exist in real edge lists).
+ *
+ * Determinism contract: the edges come from one Rng seeded with `seed`,
+ * `scale` draws per edge in edge order, so edge e starts at draw
+ * e * scale. Graphs of at least 2^20 edges are drawn by up to four
+ * threads, each jumping its own Rng to its first edge
+ * (Rng::advance); the graph is the same for any worker count.
  */
 CsrGraph makeRmatGraph(std::uint32_t scale, std::uint32_t avg_degree,
                        std::uint64_t seed);
+
+/** makeRmatGraph drawn by exactly `workers` (>= 1) threads. */
+CsrGraph makeRmatGraphWithWorkers(std::uint32_t scale,
+                                  std::uint32_t avg_degree,
+                                  std::uint64_t seed, unsigned workers);
 
 /** Pick a scale so the CSR (8 B offsets + 4 B edges) is ~target bytes. */
 std::uint32_t scaleForFootprint(std::uint64_t target_bytes,

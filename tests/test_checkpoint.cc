@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -18,6 +19,7 @@
 
 #include "sim/checkpoint.h"
 #include "system/ndp_system.h"
+#include "telemetry/telemetry.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -454,6 +456,75 @@ TEST(CheckpointResume, DifferentPolicyIsRejected)
     NdpSystem resumed(tinyConfig(1), PolicyKind::Nexus);
     EXPECT_FALSE(resumed.setResume(newest, *w, &error));
     EXPECT_NE(error.find("config mismatch"), std::string::npos) << error;
+}
+
+/**
+ * Runs `w` with telemetry under `prefix` and a checkpoint every epoch,
+ * leaving the .part side files in place; returns the newest image.
+ */
+std::string
+emitWithTelemetry(const std::string& prefix, const Workload& w)
+{
+    TelemetryConfig tcfg;
+    tcfg.outPrefix = prefix;
+    Telemetry tel(tcfg);
+    NdpSystem emitter(tinyConfig(1), PolicyKind::NdpExt);
+    emitter.attachTelemetry(&tel);
+    emitter.setCheckpointing(prefix, 1);
+    emitter.run(w);
+
+    std::string newest;
+    std::string error;
+    EXPECT_TRUE(
+        ckpt::findLatestValidCheckpoint(prefix, &newest, nullptr, &error))
+        << error;
+    return newest;
+}
+
+/** setResume with a fresh telemetry sink under `prefix`. */
+bool
+resumeWithTelemetry(const std::string& prefix, const std::string& image,
+                    const Workload& w, std::string* error)
+{
+    TelemetryConfig tcfg;
+    tcfg.outPrefix = prefix;
+    Telemetry tel(tcfg);
+    NdpSystem resumed(tinyConfig(1), PolicyKind::NdpExt);
+    resumed.attachTelemetry(&tel);
+    return resumed.setResume(image, w, error);
+}
+
+TEST(CheckpointResume, MissingTelemetrySideFileIsRecoverable)
+{
+    auto w = makeWorkload("pr");
+    w->prepare(tinyParams());
+    const std::string prefix = ::testing::TempDir() + "resume_tel_missing";
+    const std::string newest = emitWithTelemetry(prefix, *w);
+    std::string error;
+    ASSERT_TRUE(resumeWithTelemetry(prefix, newest, *w, &error)) << error;
+
+    // A completed run's writeAll() merges and removes the side files.
+    std::remove((prefix + ".metrics.part").c_str());
+    EXPECT_FALSE(resumeWithTelemetry(prefix, newest, *w, &error));
+    EXPECT_NE(error.find("'" + prefix + ".metrics.part' is missing"),
+              std::string::npos)
+        << error;
+}
+
+TEST(CheckpointResume, ShortTelemetrySideFileIsRecoverable)
+{
+    auto w = makeWorkload("pr");
+    w->prepare(tinyParams());
+    const std::string prefix = ::testing::TempDir() + "resume_tel_short";
+    const std::string newest = emitWithTelemetry(prefix, *w);
+
+    std::ofstream(prefix + ".decisions.part", std::ios::trunc)
+        << "{\"only\": 1}\n";
+    std::string error;
+    EXPECT_FALSE(resumeWithTelemetry(prefix, newest, *w, &error));
+    EXPECT_NE(error.find("'" + prefix + ".decisions.part' has 1 lines"),
+              std::string::npos)
+        << error;
 }
 
 } // namespace

@@ -76,6 +76,41 @@ TEST(Rng, UniformMeanIsCentered)
     EXPECT_NEAR(sum / n, 0.5, 0.01);
 }
 
+TEST(RngAdvance, EqualsRepeatedNext)
+{
+    for (const std::uint64_t n : {0ULL, 1ULL, 63ULL, 64ULL, 1000ULL,
+                                  123457ULL}) {
+        Rng stepped(2024);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            stepped.next();
+        }
+        Rng jumped(2024);
+        jumped.advance(n);
+        std::uint64_t want[4];
+        std::uint64_t got[4];
+        stepped.state(want);
+        jumped.state(got);
+        for (int i = 0; i < 4; ++i) {
+            EXPECT_EQ(got[i], want[i]) << "n=" << n << " lane " << i;
+        }
+        EXPECT_EQ(jumped.next(), stepped.next()) << "n=" << n;
+    }
+}
+
+TEST(RngAdvance, Composes)
+{
+    const std::uint64_t a = 987654321;
+    const std::uint64_t b = (1ULL << 40) + 12345;
+    Rng twice(77);
+    twice.advance(a);
+    twice.advance(b);
+    Rng once(77);
+    once.advance(a + b);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(twice.next(), once.next());
+    }
+}
+
 TEST(Zipf, StaysInDomain)
 {
     ZipfSampler z(1000, 0.8, 5);

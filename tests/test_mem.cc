@@ -133,6 +133,20 @@ TEST(DramDevice, ReportPopulatesStats)
     EXPECT_DOUBLE_EQ(stats.get("dram.bytesRead"), 64.0);
 }
 
+} // namespace
+
+/**
+ * Prints a preset by its name. gtest's default byte dump of the struct
+ * would include the std::string's heap pointer, so the listed test names
+ * would change from one process to the next.
+ */
+static void PrintTo(const DramTimingParams& p, std::ostream* os)
+{
+    *os << p.name;
+}
+
+namespace {
+
 /** Property sweep: timing conversion is sane across technologies. */
 class DramTechTest : public ::testing::TestWithParam<DramTimingParams>
 {

@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 
+#include "common/rng.h"
+
 #include "workloads/gap_workloads.h"
 #include "workloads/graph.h"
 #include "workloads/workload.h"
@@ -56,6 +58,127 @@ TEST(Graph, Deterministic)
     const auto b = makeRmatGraph(8, 4, 7);
     EXPECT_EQ(a.edges, b.edges);
     EXPECT_EQ(a.offsets, b.offsets);
+}
+
+template <typename T>
+std::uint64_t
+fnv1a(const std::vector<T>& v)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const T x : v) {
+        for (unsigned i = 0; i < sizeof(T); ++i) {
+            h ^= (static_cast<std::uint64_t>(x) >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+struct RmatGolden
+{
+    std::uint32_t scale;
+    std::uint32_t degree;
+    std::uint64_t seed;
+    std::uint64_t offsetsHash;
+    std::uint64_t edgesHash;
+};
+
+// FNV-1a (little-endian element bytes) of graphs built by the original
+// serial, branchy generator. (13, 5) has 40960 edges, which 3 workers
+// cannot split evenly; (17, 16) has 2 Mi edges, enough to be drawn in
+// parallel.
+constexpr RmatGolden kRmatGolden[] = {
+    {4, 1, 3, 0xfe05a6a85251a64bULL, 0x40982f2554f9c4b8ULL},
+    {10, 8, 1, 0x6c57a90a6262baabULL, 0xa5e945191215af48ULL},
+    {13, 5, 99, 0xb7363ca106149233ULL, 0x7dc03086570b6ab7ULL},
+    {14, 7, 2024, 0x70994d2de671d787ULL, 0x1b9133497bfbad67ULL},
+    {17, 16, 42, 0x8027134ff66ae26aULL, 0x80d95b676e5770a7ULL},
+};
+
+TEST(Graph, RmatMatchesGoldenHashes)
+{
+    for (const RmatGolden& c : kRmatGolden) {
+        const auto g = makeRmatGraph(c.scale, c.degree, c.seed);
+        EXPECT_EQ(fnv1a(g.offsets), c.offsetsHash) << "scale " << c.scale;
+        EXPECT_EQ(fnv1a(g.edges), c.edgesHash) << "scale " << c.scale;
+    }
+}
+
+TEST(Graph, RmatIsTheSameForAnyWorkerCount)
+{
+    for (const RmatGolden& c : kRmatGolden) {
+        for (const unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
+            const auto g = makeRmatGraphWithWorkers(c.scale, c.degree,
+                                                    c.seed, workers);
+            EXPECT_EQ(fnv1a(g.offsets), c.offsetsHash)
+                << "scale " << c.scale << " workers " << workers;
+            EXPECT_EQ(fnv1a(g.edges), c.edgesHash)
+                << "scale " << c.scale << " workers " << workers;
+        }
+    }
+}
+
+/** The original edge loop: one nextDouble() per bit, an if/else ladder. */
+void
+branchyRmatEdges(std::uint32_t scale, std::uint64_t e_count,
+                 std::uint64_t seed, std::vector<std::uint32_t>* src,
+                 std::vector<std::uint32_t>* dst)
+{
+    constexpr double kA = 0.57;
+    constexpr double kB = 0.19;
+    constexpr double kC = 0.19;
+    Rng rng(seed);
+    src->assign(e_count, 0);
+    dst->assign(e_count, 0);
+    for (std::uint64_t e = 0; e < e_count; ++e) {
+        std::uint64_t s = 0;
+        std::uint64_t d = 0;
+        for (std::uint32_t bit = 0; bit < scale; ++bit) {
+            const double p = rng.nextDouble();
+            s <<= 1;
+            d <<= 1;
+            if (p < kA) {
+                // top-left: no bits set
+            } else if (p < kA + kB) {
+                d |= 1;
+            } else if (p < kA + kB + kC) {
+                s |= 1;
+            } else {
+                s |= 1;
+                d |= 1;
+            }
+        }
+        (*src)[e] = static_cast<std::uint32_t>(s);
+        (*dst)[e] = static_cast<std::uint32_t>(d);
+    }
+}
+
+TEST(Graph, RmatMatchesBranchySerialLoop)
+{
+    const std::uint32_t scale = 12;
+    const std::uint32_t degree = 7;
+    const std::uint64_t seed = 31337;
+    std::vector<std::uint32_t> src;
+    std::vector<std::uint32_t> dst;
+    branchyRmatEdges(scale, (1ULL << scale) * degree, seed, &src, &dst);
+
+    // Each vertex's edge list, in edge order (the stable counting sort).
+    std::vector<std::vector<std::uint32_t>> adj(1ULL << scale);
+    for (std::size_t e = 0; e < src.size(); ++e) {
+        adj[src[e]].push_back(dst[e]);
+    }
+    for (const unsigned workers : {1u, 3u}) {
+        const auto g = makeRmatGraphWithWorkers(scale, degree, seed, workers);
+        ASSERT_EQ(g.numEdges, src.size());
+        for (std::uint64_t v = 0; v < g.numVertices; ++v) {
+            ASSERT_EQ(g.degree(v), adj[v].size()) << "vertex " << v;
+            for (std::uint64_t i = 0; i < g.degree(v); ++i) {
+                ASSERT_EQ(g.edges[g.offsets[v] + i], adj[v][i])
+                    << "vertex " << v << " edge " << i << " workers "
+                    << workers;
+            }
+        }
+    }
 }
 
 TEST(Graph, ScaleForFootprint)
