@@ -50,9 +50,7 @@ ExtendedMemory::access(Addr addr, std::uint32_t bytes, bool is_write,
     Cycles at_device = 0;
     std::uint32_t attempt = 0;
     for (;;) {
-        const Cycles req_start = link_.reserve(64, t);
-        at_device =
-            req_start + cxl_.linkLatencyCycles + link_.serviceCycles(64);
+        at_device = link_.reserveUntilDone(64, t) + cxl_.linkLatencyCycles;
         linkEnergyNj_ += 64.0 * 8.0 * cxl_.pjPerBit * 1e-3;
         linkBytes_ += 64;
         sc.linkBytes += 64;
@@ -80,9 +78,8 @@ ExtendedMemory::access(Addr addr, std::uint32_t bytes, bool is_write,
     }
 
     // Response payload back over the link.
-    const Cycles rsp_start = link_.reserve(bytes, dr.done);
     const Cycles done =
-        rsp_start + cxl_.linkLatencyCycles + link_.serviceCycles(bytes);
+        link_.reserveUntilDone(bytes, dr.done) + cxl_.linkLatencyCycles;
 
     ++accesses_;
     linkEnergyNj_ +=

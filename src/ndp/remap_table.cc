@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/bitutils.h"
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -96,6 +97,10 @@ StreamRemapTable::buildViews(Entry& entry, StreamId sid, const NocModel& noc)
         gv.slotPrefix.push_back(gv.totalSlots);
         gv.totalSlots += slots;
         if (mode_ == RemapMode::ConsistentHash) {
+            // spotHash is injective while rows fit in 24 bits, so no two
+            // spots tie and the ring order is unique.
+            NDP_ASSERT(alloc.shareRows[u] <= (1u << 24), "sid=", sid,
+                       " unit ", u, " too many rows for the ring");
             const std::uint32_t vnodes = virtualSpotsPerRow(rowBytes_);
             for (std::uint32_t r = 0; r < alloc.shareRows[u]; ++r) {
                 for (std::uint32_t v = 0; v < vnodes; ++v) {
@@ -107,11 +112,9 @@ StreamRemapTable::buildViews(Entry& entry, StreamId sid, const NocModel& noc)
             }
         }
     }
+    std::vector<GroupView::Spot> tmp;
     for (auto& gv : entry.groups) {
-        std::sort(gv.ring.begin(), gv.ring.end(),
-                  [](const GroupView::Spot& a, const GroupView::Spot& b) {
-                      return a.hash < b.hash;
-                  });
+        sortRing(gv, tmp);
     }
 
     // Serving group per from-unit: slot-weighted nearest group.
@@ -136,6 +139,53 @@ StreamRemapTable::buildViews(Entry& entry, StreamId sid, const NocModel& noc)
             }
         }
         entry.serving[from] = best_g;
+    }
+}
+
+/**
+ * Sort a group's ring by spot hash and build its directory: a counting
+ * sort on the top ceil(log2 n) hash bits, then an insertion sort inside
+ * each (short) bucket. Hashes are distinct, so this is the std::sort
+ * order.
+ */
+void
+StreamRemapTable::sortRing(GroupView& gv, std::vector<GroupView::Spot>& tmp)
+{
+    const std::size_t n = gv.ring.size();
+    gv.dir.clear();
+    if (n == 0) {
+        return;
+    }
+    const std::uint32_t bits = std::max(1u, ceilLog2(n));
+    gv.dirShift = 64 - bits;
+    const std::size_t buckets = std::size_t{1} << bits;
+    gv.dir.assign(buckets + 1, 0);
+    for (const GroupView::Spot& s : gv.ring) {
+        ++gv.dir[(s.hash >> gv.dirShift) + 1];
+    }
+    for (std::size_t b = 0; b < buckets; ++b) {
+        gv.dir[b + 1] += gv.dir[b];
+    }
+    // Scatter, using dir[b] as bucket b's fill cursor; afterwards each
+    // cursor sits at its bucket's end, which is bucket b + 1's start.
+    tmp.resize(n);
+    for (const GroupView::Spot& s : gv.ring) {
+        tmp[gv.dir[s.hash >> gv.dirShift]++] = s;
+    }
+    for (std::size_t b = buckets; b > 0; --b) {
+        gv.dir[b] = gv.dir[b - 1];
+    }
+    gv.dir[0] = 0;
+    gv.ring.swap(tmp);
+    for (std::size_t b = 0; b < buckets; ++b) {
+        for (std::uint32_t i = gv.dir[b] + 1; i < gv.dir[b + 1]; ++i) {
+            const GroupView::Spot s = gv.ring[i];
+            std::uint32_t j = i;
+            for (; j > gv.dir[b] && gv.ring[j - 1].hash > s.hash; --j) {
+                gv.ring[j] = gv.ring[j - 1];
+            }
+            gv.ring[j] = s;
+        }
     }
 }
 
@@ -287,9 +337,13 @@ StreamRemapTable::locate(StreamId sid, std::uint64_t granule_id,
         return loc;
     }
 
-    // Consistent hashing: first spot with hash >= h, wrapping.
+    // Consistent hashing: first spot with hash >= h, wrapping. Spots of
+    // earlier buckets hash below h and those of later buckets above it,
+    // so the search covers h's bucket only; if every spot there is below
+    // h, the answer is the next bucket's first spot, dir[b + 1].
+    const std::size_t b = h >> gv.dirShift;
     auto it = std::lower_bound(
-        gv.ring.begin(), gv.ring.end(), h,
+        gv.ring.begin() + gv.dir[b], gv.ring.begin() + gv.dir[b + 1], h,
         [](const GroupView::Spot& s, std::uint64_t key) {
             return s.hash < key;
         });

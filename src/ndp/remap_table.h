@@ -176,6 +176,12 @@ class StreamRemapTable
             std::uint32_t rowOffset;
         };
         std::vector<Spot> ring;
+        /**
+         * Ring directory: bucket b = hash >> dirShift holds the spots
+         * ring[dir[b], dir[b + 1]), about one per bucket.
+         */
+        std::vector<std::uint32_t> dir;
+        unsigned dirShift = 63;
     };
 
     struct Entry
@@ -191,6 +197,7 @@ class StreamRemapTable
     };
 
     void buildViews(Entry& entry, StreamId sid, const NocModel& noc);
+    static void sortRing(GroupView& gv, std::vector<GroupView::Spot>& tmp);
     void computeSurvival(Entry& old_entry, Entry& new_entry, StreamId sid);
 
     std::uint64_t slotsOf(const StreamAlloc& alloc, UnitId unit,

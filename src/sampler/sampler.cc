@@ -49,12 +49,12 @@ MissCurveSampler::configure(StreamId sid, std::uint32_t granule_bytes)
     cases_.assign(capacities_.size(), CapacityCase{});
     for (std::size_t i = 0; i < capacities_.size(); ++i) {
         CapacityCase& cc = cases_[i];
-        cc.totalSlots = std::max<std::uint64_t>(
-            1, capacities_[i] / granule_bytes);
-        cc.sampleStep = std::max<std::uint64_t>(
-            1, cc.totalSlots / params_.kSets);
-        cc.tags.assign(
-            std::min<std::uint64_t>(params_.kSets, cc.totalSlots), 0);
+        const std::uint64_t slots =
+            std::max<std::uint64_t>(1, capacities_[i] / granule_bytes);
+        cc.totalSlots = FastDivisor(slots);
+        cc.sampleStep =
+            FastDivisor(std::max<std::uint64_t>(1, slots / params_.kSets));
+        cc.tags.assign(std::min<std::uint64_t>(params_.kSets, slots), 0);
     }
 }
 
@@ -66,11 +66,11 @@ MissCurveSampler::observe(std::uint64_t granule_id)
     const std::uint64_t h = mix64(granule_id ^ mix64(0xa11ce + sid_));
     const std::uint64_t key = granule_id + 1; // 0 = empty tag
     for (auto& cc : cases_) {
-        const std::uint64_t slot = h % cc.totalSlots;
-        if (slot % cc.sampleStep != 0) {
+        const std::uint64_t slot = cc.totalSlots.mod(h);
+        const std::uint64_t idx = cc.sampleStep.div(slot);
+        if (slot != idx * cc.sampleStep.divisor()) {
             continue; // not a sampled set (static interleaving)
         }
-        const std::uint64_t idx = slot / cc.sampleStep;
         if (idx >= cc.tags.size()) {
             continue;
         }

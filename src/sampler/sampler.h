@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitutils.h"
 #include "common/types.h"
 #include "sampler/miss_curve.h"
 #include "sim/checkpoint.h"
@@ -77,8 +78,8 @@ class MissCurveSampler
         w.u32(granuleBytes_);
         w.u64(cases_.size());
         for (const CapacityCase& c : cases_) {
-            w.u64(c.totalSlots);
-            w.u64(c.sampleStep);
+            w.u64(c.totalSlots.divisor());
+            w.u64(c.sampleStep.divisor());
             w.vecU64(c.tags);
             w.u64(c.observed);
             w.u64(c.hits);
@@ -96,8 +97,11 @@ class MissCurveSampler
         // configure() ran).
         cases_.assign(r.u64(), CapacityCase{});
         for (CapacityCase& c : cases_) {
-            c.totalSlots = r.u64();
-            c.sampleStep = r.u64();
+            const std::uint64_t slots = r.u64();
+            const std::uint64_t step = r.u64();
+            NDP_ASSERT(slots > 0 && step > 0, "bad sampler geometry");
+            c.totalSlots = FastDivisor(slots);
+            c.sampleStep = FastDivisor(step);
             c.tags = r.vecU64();
             c.observed = r.u64();
             c.hits = r.u64();
@@ -106,10 +110,11 @@ class MissCurveSampler
     }
 
   private:
+    /** Divisors carry their reciprocals: observe() never divides. */
     struct CapacityCase
     {
-        std::uint64_t totalSlots = 0;
-        std::uint64_t sampleStep = 1; ///< slot % step == 0 is sampled
+        FastDivisor totalSlots;
+        FastDivisor sampleStep; ///< slot % step == 0 is sampled
         std::vector<std::uint64_t> tags; ///< kSets single-tag shadow sets
         std::uint64_t observed = 0;
         std::uint64_t hits = 0;

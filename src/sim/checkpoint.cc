@@ -15,18 +15,31 @@ namespace ckpt {
 
 namespace {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/**
+ * Slicing-by-8 tables: t[0] is the bytewise table of the reflected
+ * polynomial; t[k][i] is the CRC of byte i followed by k zero bytes, so
+ * eight table lookups advance the CRC over eight bytes at once.
+ */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k) {
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
         }
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < t.size(); ++k) {
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            const std::uint32_t prev = t[k - 1][i];
+            t[k][i] = t[0][prev & 0xFFu] ^ (prev >> 8);
+        }
+    }
+    return t;
 }
 
 std::string
@@ -147,10 +160,19 @@ readHeaderAndMaybePayload(const std::string& path, CheckpointHeader* header,
 std::uint32_t
 crc32(const std::uint8_t* data, std::size_t size)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
+    static const CrcTables t = makeCrcTables();
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i) {
-        c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+    std::size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        const std::uint32_t lo = c ^ getU32(data + i);
+        const std::uint32_t hi = getU32(data + i + 4);
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu]
+            ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu]
+            ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu]
+            ^ t[0][hi >> 24];
+    }
+    for (; i < size; ++i) {
+        c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
     }
     return c ^ 0xFFFFFFFFu;
 }

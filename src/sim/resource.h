@@ -12,14 +12,19 @@
  * or after their arrival time.
  *
  * The busy list is a fixed-capacity ring of disjoint intervals sorted by
- * start time. Disjoint + sorted-by-start implies the end times are
- * strictly increasing too, so the prefix of intervals entirely before an
- * arrival is found by binary search instead of a linear walk -- this is
- * the simulator's hottest loop (every NoC inter-stack hop, DRAM bank and
- * CXL link reservation lands here). The first-fit semantics, the
+ * start time, wrapped by compare (kMaxTracked + 1 slots, the transient
+ * size before the oldest interval is dropped). Disjoint + sorted-by-start
+ * implies the end times are strictly increasing too, so the prefix of
+ * intervals entirely before an arrival is a contiguous run that can be
+ * searched for. Arrivals land near the tail -- this is the simulator's
+ * hottest loop (every NoC inter-stack hop, DRAM bank and CXL link
+ * reservation lands here) -- so the end of the last interval is kept
+ * inline (an arrival at or after it appends without touching the ring),
+ * and otherwise the search gallops backwards from the tail and
+ * binary-searches only the last bracket. The first-fit semantics, the
  * kMaxTracked drop-oldest cap and every returned start time are exactly
  * those of the original linear implementation (pinned by the bench
- * baselines' bit-identity gate).
+ * baselines' bit-identity gate and a differential test).
  */
 
 #ifndef NDPEXT_SIM_RESOURCE_H
@@ -48,8 +53,8 @@ class BandwidthResource
 
     BandwidthResource(const BandwidthResource& other)
         : bytesPerCycle_(other.bytesPerCycle_), head_(other.head_),
-          count_(other.count_), reservations_(other.reservations_),
-          queueCycles_(other.queueCycles_)
+          count_(other.count_), tailEnd_(other.tailEnd_),
+          reservations_(other.reservations_), queueCycles_(other.queueCycles_)
     {
         if (other.ring_ != nullptr) {
             ring_ = std::make_unique<Interval[]>(kCap);
@@ -90,6 +95,18 @@ class BandwidthResource
     }
 
     /**
+     * reserve() for callers that need the completion time: returns
+     * start + serviceCycles(bytes), computing the service time once.
+     */
+    Cycles
+    reserveUntilDone(std::uint64_t bytes, Cycles now)
+    {
+        NDP_ASSERT(bytesPerCycle_ > 0.0, "unconfigured bandwidth resource");
+        const Cycles service = serviceCycles(bytes);
+        return reserveFor(service, now) + service;
+    }
+
+    /**
      * Occupy the resource for `duration` cycles starting at the earliest
      * gap at or after `now` (first-fit insertion into the busy list).
      */
@@ -103,21 +120,26 @@ class BandwidthResource
             ring_ = std::make_unique<Interval[]>(kCap);
         }
         Cycles t = now;
-        // Ends are strictly increasing (disjoint intervals sorted by
-        // start): binary-search past the prefix that is entirely before
-        // the arrival, then walk the (short) run of collisions.
-        std::size_t pos = firstEndAfter(now);
-        for (; pos < count_; ++pos) {
-            const Interval& iv = at(pos);
-            if (iv.start >= t + duration) {
-                break; // we fit in the gap before this interval
+        // Every interval ending at or before the arrival is skipped; the
+        // rest is walked as the (short) run of collisions.
+        std::size_t pos = count_;
+        if (now < tailEnd_) {
+            pos = firstEndAfter(now);
+            for (; pos < count_; ++pos) {
+                const Interval& iv = at(pos);
+                if (iv.start >= t + duration) {
+                    break; // we fit in the gap before this interval
+                }
+                t = iv.end; // collide: try right after it
             }
-            t = iv.end; // collide: try right after it
         }
         // Every interval before `pos` starts before `t` and every one at
         // or after it starts at `t + duration` or later, so `pos` IS the
         // sorted insertion point for (t, t + duration).
         insertAt(pos, Interval{t, t + duration});
+        if (pos + 1 == count_) {
+            tailEnd_ = t + duration;
+        }
         if (count_ > kMaxTracked) {
             popFront(); // oldest interval: far in the past
         }
@@ -136,11 +158,7 @@ class BandwidthResource
     }
 
     /** End of the latest tracked reservation. */
-    Cycles
-    nextFree() const
-    {
-        return count_ == 0 ? 0 : at(count_ - 1).end;
-    }
+    Cycles nextFree() const { return tailEnd_; }
 
     std::uint64_t reservations() const { return reservations_; }
     Cycles totalQueueCycles() const { return queueCycles_; }
@@ -150,6 +168,7 @@ class BandwidthResource
     {
         head_ = 0;
         count_ = 0;
+        tailEnd_ = 0;
         reservations_ = 0;
         queueCycles_ = 0;
     }
@@ -184,8 +203,12 @@ class BandwidthResource
         for (std::uint64_t i = 0; i < n; ++i) {
             ring_[i].start = r.u64();
             ring_[i].end = r.u64();
+            NDP_ASSERT(ring_[i].start < ring_[i].end
+                           && (i == 0 || ring_[i - 1].end <= ring_[i].start),
+                       "busy intervals not disjoint and sorted");
         }
         count_ = n;
+        tailEnd_ = n == 0 ? 0 : ring_[n - 1].end;
         reservations_ = r.u64();
         queueCycles_ = r.u64();
     }
@@ -199,28 +222,39 @@ class BandwidthResource
 
     /** Intervals kept; older ones are in the past and prunable. */
     static constexpr std::size_t kMaxTracked = 128;
-    /** Ring capacity: power of two > kMaxTracked + 1 (transient size). */
-    static constexpr std::size_t kCap = 256;
-    static constexpr std::size_t kMask = kCap - 1;
+    /** Ring capacity: the transient size before popFront(). */
+    static constexpr std::size_t kCap = kMaxTracked + 1;
 
-    const Interval&
-    at(std::size_t i) const
+    std::size_t
+    slot(std::size_t i) const
     {
-        return ring_[(head_ + i) & kMask];
+        const std::size_t s = head_ + i;
+        return s >= kCap ? s - kCap : s;
     }
 
-    Interval&
-    at(std::size_t i)
-    {
-        return ring_[(head_ + i) & kMask];
-    }
+    const Interval& at(std::size_t i) const { return ring_[slot(i)]; }
+    Interval& at(std::size_t i) { return ring_[slot(i)]; }
 
-    /** Index of the first interval with end > t (count_ if none). */
+    /**
+     * Index of the first interval with end > t. Requires t < tailEnd_, so
+     * the answer is a valid index. Gallops backwards from the tail over
+     * distances 1, 2, 4, ... and binary-searches the last bracket; ends
+     * are strictly increasing, so this is the index a full binary search
+     * finds.
+     */
     std::size_t
     firstEndAfter(Cycles t) const
     {
+        std::size_t hi = count_ - 1; // at(hi).end > t
         std::size_t lo = 0;
-        std::size_t hi = count_;
+        for (std::size_t step = 1; step <= hi; step *= 2) {
+            const std::size_t probe = hi - step;
+            if (at(probe).end <= t) {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+        }
         while (lo < hi) {
             const std::size_t mid = lo + (hi - lo) / 2;
             if (at(mid).end <= t) {
@@ -243,7 +277,7 @@ class BandwidthResource
             }
         } else {
             // Shift the head [0, pos) left by one.
-            head_ = (head_ + kCap - 1) & kMask;
+            head_ = head_ == 0 ? kCap - 1 : head_ - 1;
             for (std::size_t i = 0; i < pos; ++i) {
                 at(i) = at(i + 1);
             }
@@ -255,7 +289,7 @@ class BandwidthResource
     void
     popFront()
     {
-        head_ = (head_ + 1) & kMask;
+        head_ = head_ + 1 == kCap ? 0 : head_ + 1;
         --count_;
     }
 
@@ -264,6 +298,8 @@ class BandwidthResource
     std::unique_ptr<Interval[]> ring_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
+    /** End of the last interval (0 when empty): the append test. */
+    Cycles tailEnd_ = 0;
     std::uint64_t reservations_ = 0;
     Cycles queueCycles_ = 0;
 };

@@ -40,31 +40,24 @@ ShardedExecutor::forEachShard(std::size_t count,
         job_ = &fn;
         count_ = count;
         next_.store(0, std::memory_order_relaxed);
-        done_.store(0, std::memory_order_relaxed);
         ++generation_;
     }
     jobReady_.notify_all();
-    runJob();
+    runJob(fn, count);
+    // Every shard was claimed once runJob returns; those claimed by
+    // workers are done when no worker is left inside runJob.
     std::unique_lock<std::mutex> lock(mutex_);
-    jobDone_.wait(lock, [this] {
-        return done_.load(std::memory_order_acquire) == count_;
-    });
+    jobDone_.wait(lock, [this] { return active_ == 0; });
     job_ = nullptr;
 }
 
 void
-ShardedExecutor::runJob()
+ShardedExecutor::runJob(const std::function<void(std::size_t)>& fn,
+                        std::size_t count)
 {
-    while (true) {
-        const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count_) {
-            break;
-        }
-        (*job_)(i);
-        if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == count_) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            jobDone_.notify_all();
-        }
+    for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+         i < count; i = next_.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
     }
 }
 
@@ -73,6 +66,8 @@ ShardedExecutor::workerLoop()
 {
     std::uint64_t seen = 0;
     while (true) {
+        const std::function<void(std::size_t)>* job = nullptr;
+        std::size_t count = 0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             jobReady_.wait(lock, [this, seen] {
@@ -82,8 +77,19 @@ ShardedExecutor::workerLoop()
                 return;
             }
             seen = generation_;
+            if (job_ == nullptr) {
+                continue; // woke after that job finished
+            }
+            job = job_;
+            count = count_;
+            ++active_;
         }
-        runJob();
+        runJob(*job, count);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            --active_;
+        }
+        jobDone_.notify_all();
     }
 }
 

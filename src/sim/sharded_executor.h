@@ -45,20 +45,24 @@ class ShardedExecutor
 
   private:
     void workerLoop();
-    void runJob();
+    void runJob(const std::function<void(std::size_t)>& fn, std::size_t count);
 
     std::vector<std::thread> workers_;
 
+    // A worker reads job_ and count_ under the mutex and counts itself in
+    // active_ before running any shard; forEachShard returns (and clears
+    // job_) only once active_ is back to 0. So a worker that wakes late
+    // either sees no job or a job whose caller is still waiting for it.
     std::mutex mutex_;
     std::condition_variable jobReady_;
     std::condition_variable jobDone_;
     std::uint64_t generation_ = 0;
     bool stop_ = false;
-
     const std::function<void(std::size_t)>* job_ = nullptr;
     std::size_t count_ = 0;
+    std::size_t active_ = 0;
+
     std::atomic<std::size_t> next_{0};
-    std::atomic<std::size_t> done_{0};
 };
 
 } // namespace ndpext

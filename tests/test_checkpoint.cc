@@ -75,6 +75,41 @@ TEST(CheckpointStream, RoundTripAllPrimitives)
     EXPECT_TRUE(r.atEnd());
 }
 
+TEST(CheckpointCrc, StandardCheckValue)
+{
+    const std::string check = "123456789";
+    const auto* data = reinterpret_cast<const std::uint8_t*>(check.data());
+    EXPECT_EQ(ckpt::crc32(data, check.size()), 0xCBF43926u);
+}
+
+TEST(CheckpointCrc, MatchesBytewiseLoop)
+{
+    // Reference: one table lookup per byte, the reflected IEEE
+    // polynomial.
+    std::uint32_t table[256];
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k) {
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        }
+        table[i] = c;
+    }
+    std::vector<std::uint8_t> buf(4099 + 8);
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (std::uint8_t& b : buf) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        b = static_cast<std::uint8_t>(x >> 56);
+    }
+    for (std::size_t len = 0; len <= 4099; ++len) {
+        const std::uint8_t* data = buf.data() + len % 8; // unaligned too
+        std::uint32_t c = 0xFFFFFFFFu;
+        for (std::size_t i = 0; i < len; ++i) {
+            c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+        }
+        ASSERT_EQ(ckpt::crc32(data, len), c ^ 0xFFFFFFFFu) << "len " << len;
+    }
+}
+
 TEST(CheckpointStream, DoubleBitPatternsSurvive)
 {
     // NaN payload bits and signed zero must survive the round trip

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -161,6 +162,38 @@ TEST(BitUtils, DivAndAlign)
     EXPECT_EQ(alignUp(10, 8), 16u);
     EXPECT_EQ(alignUp(16, 8), 16u);
     EXPECT_EQ(alignDown(15, 8), 8u);
+}
+
+TEST(BitUtils, FastDivisorIsExact)
+{
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    std::vector<std::uint64_t> divisors = {1, 2, 3, 5, 7, 1000, kMax - 1,
+                                           kMax};
+    for (int k = 2; k < 64; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        divisors.insert(divisors.end(), {p - 1, p, p + 1});
+    }
+    Rng rng(0xd1);
+    for (int i = 0; i < 200; ++i) {
+        divisors.push_back(rng.next() >> rng.nextBounded(64));
+    }
+    for (const std::uint64_t d : divisors) {
+        if (d == 0) {
+            continue;
+        }
+        const FastDivisor fd(d);
+        ASSERT_EQ(fd.divisor(), d);
+        std::vector<std::uint64_t> operands = {0,        1,        d - 1, d,
+                                               d + 1,    2 * d - 1, kMax,
+                                               kMax - 1, kMax - d};
+        for (int i = 0; i < 200; ++i) {
+            operands.push_back(rng.next() >> rng.nextBounded(64));
+        }
+        for (const std::uint64_t a : operands) {
+            ASSERT_EQ(fd.div(a), a / d) << a << " / " << d;
+            ASSERT_EQ(fd.mod(a), a % d) << a << " % " << d;
+        }
+    }
 }
 
 TEST(SizeLiterals, Work)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
 #include "sampler/miss_curve.h"
 #include "sampler/sampler.h"
@@ -111,6 +115,159 @@ TEST(Sampler, CurveIsMonotoneNonIncreasing)
     for (std::size_t i = 1; i < c.numPoints(); ++i) {
         EXPECT_LE(c.misses()[i], c.misses()[i - 1] + 1e-9);
     }
+}
+
+/**
+ * Oracle: MissCurveSampler's shadow-set state as first written, with
+ * hardware `%` and `/`. state() is laid out like serialize(), so the two
+ * compare byte for byte.
+ */
+struct SamplerOracle
+{
+    struct Case
+    {
+        std::uint64_t totalSlots = 0;
+        std::uint64_t sampleStep = 0;
+        std::vector<std::uint64_t> tags;
+        std::uint64_t observed = 0;
+        std::uint64_t hits = 0;
+    };
+
+    StreamId sid = kNoStream;
+    std::uint32_t granule = 0;
+    std::vector<Case> cases;
+    std::uint64_t accesses = 0;
+
+    /** The state configure(sid, granule) leaves in `s`. */
+    static SamplerOracle
+    configured(const MissCurveSampler& s, StreamId sid, std::uint32_t granule)
+    {
+        SamplerOracle o;
+        o.sid = sid;
+        o.granule = granule;
+        const std::uint32_t k = s.params().kSets;
+        for (const std::uint64_t cap : s.capacities()) {
+            Case c;
+            c.totalSlots = std::max<std::uint64_t>(1, cap / granule);
+            c.sampleStep = std::max<std::uint64_t>(1, c.totalSlots / k);
+            c.tags.assign(std::min<std::uint64_t>(k, c.totalSlots), 0);
+            o.cases.push_back(std::move(c));
+        }
+        return o;
+    }
+
+    void
+    observe(std::uint64_t granule_id)
+    {
+        ++accesses;
+        const std::uint64_t h = mix64(granule_id ^ mix64(0xa11ce + sid));
+        for (Case& c : cases) {
+            const std::uint64_t slot = h % c.totalSlots;
+            if (slot % c.sampleStep != 0) {
+                continue;
+            }
+            const std::uint64_t idx = slot / c.sampleStep;
+            if (idx >= c.tags.size()) {
+                continue;
+            }
+            ++c.observed;
+            if (c.tags[idx] == granule_id + 1) {
+                ++c.hits;
+            } else {
+                c.tags[idx] = granule_id + 1;
+            }
+        }
+    }
+
+    std::vector<std::uint8_t>
+    state() const
+    {
+        ckpt::Writer w;
+        w.u32(sid);
+        w.u32(granule);
+        w.u64(cases.size());
+        for (const Case& c : cases) {
+            w.u64(c.totalSlots);
+            w.u64(c.sampleStep);
+            w.vecU64(c.tags);
+            w.u64(c.observed);
+            w.u64(c.hits);
+        }
+        w.u64(accesses);
+        return w.bytes();
+    }
+};
+
+std::vector<std::uint8_t>
+stateOf(const MissCurveSampler& s)
+{
+    ckpt::Writer w;
+    s.serialize(w);
+    return w.bytes();
+}
+
+TEST(Sampler, ShadowSetsMatchDivisionOracle)
+{
+    // 1 KiB..256 MiB: a 4 KiB granule gives single-slot cases, and small
+    // capacities give sampleStep == 1.
+    SamplerParams p;
+    p.minCapacityBytes = 1_KiB;
+    p.maxCapacityBytes = 256_MiB;
+    bool saw_unit_step = false;
+    bool saw_single_slot = false;
+    for (const std::uint32_t granule : {8u, 24u, 64u, 1000u, 4096u}) {
+        MissCurveSampler s(p);
+        s.configure(7, granule);
+        SamplerOracle o = SamplerOracle::configured(s, 7, granule);
+        ASSERT_EQ(stateOf(s), o.state());
+        for (const auto& c : o.cases) {
+            saw_unit_step |= c.sampleStep == 1;
+            saw_single_slot |= c.totalSlots == 1;
+        }
+
+        std::vector<MissCurveSampler> live(1, s);
+        Rng rng(granule);
+        ZipfSampler zipf(1 << 16, 0.8, granule + 1);
+        constexpr int kSteps = 40000;
+        for (int i = 0; i < kSteps; ++i) {
+            if (i == kSteps / 2) {
+                ckpt::Writer w;
+                live[0].serialize(w);
+                ckpt::Reader r(w.bytes());
+                MissCurveSampler restored(p);
+                restored.deserialize(r);
+                EXPECT_TRUE(r.atEnd());
+                live.push_back(std::move(restored));
+            }
+            std::uint64_t id = 0;
+            const std::uint64_t kind = rng.nextBounded(8);
+            if (kind < 4) {
+                id = rng.nextBounded(64); // small loop: hits everywhere
+            } else if (kind < 7) {
+                id = zipf.next();
+            } else {
+                id = std::numeric_limits<std::uint64_t>::max()
+                    - rng.nextBounded(4);
+            }
+            o.observe(id);
+            for (MissCurveSampler& sampler : live) {
+                sampler.observe(id);
+            }
+            if (i % 997 == 0 || i + 1 == kSteps) {
+                for (const MissCurveSampler& sampler : live) {
+                    ASSERT_EQ(stateOf(sampler), o.state())
+                        << "granule " << granule << " step " << i;
+                }
+            }
+        }
+        std::uint64_t hits = 0;
+        for (const auto& c : o.cases) {
+            hits += c.hits;
+        }
+        EXPECT_GT(hits, 0u);
+    }
+    EXPECT_TRUE(saw_unit_step);
+    EXPECT_TRUE(saw_single_slot);
 }
 
 TEST(Sampler, DeassignClearsState)

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/sharded_executor.h"
 #include "system/ndp_system.h"
 #include "workloads/workload.h"
 
@@ -179,6 +180,23 @@ TEST(Sharding, ExcessThreadsAreClamped)
     const RunResult base = runWith(1, *w, PolicyKind::NdpExt);
     const RunResult got = runWith(64, *w, PolicyKind::NdpExt);
     expectIdentical(base, got);
+}
+
+TEST(ShardedExecutor, BackToBackJobsRunEachShardOnce)
+{
+    // Jobs of different sizes, each set up right after the previous one
+    // returns: a worker that wakes late must neither run a shard of the
+    // finished job nor read the next job before it is set up.
+    ShardedExecutor exec(4);
+    std::vector<int> runs(9, 0);
+    for (int job = 0; job < 20000; ++job) {
+        const std::size_t count = 2 + static_cast<std::size_t>(job % 8);
+        exec.forEachShard(count, [&runs](std::size_t i) { ++runs[i]; });
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            ASSERT_EQ(runs[i], i < count ? 1 : 0) << "job " << job;
+            runs[i] = 0;
+        }
+    }
 }
 
 } // namespace

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/breakdown.h"
 #include "sim/event_queue.h"
 #include "sim/resource.h"
@@ -284,6 +286,139 @@ TEST(BandwidthResource, NextFreeTracksLatestInterval)
     r.reserve(64, 100);
     r.reserve(64, 10);
     EXPECT_EQ(r.nextFree(), 104u);
+}
+
+/**
+ * Oracle: the first-fit busy list as first written -- a sorted vector
+ * walked linearly from the front, with the same 128-interval drop-oldest
+ * cap.
+ */
+struct FirstFitOracle
+{
+    struct Interval
+    {
+        Cycles start;
+        Cycles end;
+    };
+
+    double bytesPerCycle;
+    std::vector<Interval> ivs;
+    std::uint64_t reservations = 0;
+    Cycles queueCycles = 0;
+
+    Cycles
+    serviceCycles(std::uint64_t bytes) const
+    {
+        const double c = static_cast<double>(bytes) / bytesPerCycle;
+        const auto whole = static_cast<Cycles>(c);
+        return whole + (static_cast<double>(whole) < c ? 1 : 0);
+    }
+
+    Cycles
+    reserveFor(Cycles duration, Cycles now)
+    {
+        duration = std::max<Cycles>(duration, 1);
+        auto it = ivs.begin();
+        while (it != ivs.end() && it->end <= now) {
+            ++it;
+        }
+        Cycles t = now;
+        for (; it != ivs.end() && it->start < t + duration; ++it) {
+            t = it->end;
+        }
+        ivs.insert(it, Interval{t, t + duration});
+        if (ivs.size() > 128) {
+            ivs.erase(ivs.begin());
+        }
+        ++reservations;
+        queueCycles += t - now;
+        return t;
+    }
+
+    Cycles nextFree() const { return ivs.empty() ? 0 : ivs.back().end; }
+};
+
+/**
+ * Next arrival for a list in the oracle's state. Arrivals land near the
+ * tail as on the engine's hot lists (about 37% exactly at its end, 63%
+ * within 3 intervals, 88% within 15, 99.7% within 63); the rest arrive
+ * before every tracked interval, where the 128-interval cap bites.
+ */
+Cycles
+tailBiasedArrival(const FirstFitOracle& o, Rng& rng)
+{
+    if (o.ivs.empty()) {
+        return rng.nextBounded(100);
+    }
+    const std::uint64_t r = rng.nextBounded(1000);
+    const std::size_t n = o.ivs.size();
+    std::size_t distance = 0;
+    if (r < 370) {
+        // At the tail end, or idle time after it.
+        return o.ivs.back().end + (rng.nextBool(0.8) ? 0 : rng.nextBounded(9));
+    } else if (r < 630) {
+        distance = 1 + rng.nextBounded(3);
+    } else if (r < 880) {
+        distance = 4 + rng.nextBounded(12);
+    } else if (r < 997) {
+        distance = 16 + rng.nextBounded(48);
+    } else {
+        const Cycles first = o.ivs.front().start;
+        return first - std::min<Cycles>(first, rng.nextBounded(200));
+    }
+    const auto& iv = o.ivs[n - 1 - std::min(distance, n - 1)];
+    // Inside the interval, at its start, or in the gap before it.
+    return iv.start - std::min<Cycles>(iv.start, rng.nextBounded(4))
+        + rng.nextBounded(iv.end - iv.start + 1);
+}
+
+TEST(BandwidthResource, MatchesFirstFitOracle)
+{
+    for (const double bw : {16.0, 0.75, 16.0 / 3.0}) {
+        Rng rng(0xb05e + static_cast<std::uint64_t>(bw * 1000));
+        FirstFitOracle o{bw, {}};
+        // The original, then (from mid-run) a restored checkpoint and a
+        // copy, all kept in lockstep with the oracle.
+        std::vector<BandwidthResource> live(1, BandwidthResource(bw));
+        constexpr int kSteps = 120000;
+        for (int i = 0; i < kSteps; ++i) {
+            if (i == kSteps / 2) {
+                ckpt::Writer w;
+                live[0].serialize(w);
+                ckpt::Reader rd(w.bytes());
+                BandwidthResource restored(bw);
+                restored.deserialize(rd);
+                EXPECT_TRUE(rd.atEnd());
+                const BandwidthResource copied(live[0]);
+                live.push_back(std::move(restored));
+                live.push_back(copied);
+            }
+            const Cycles now = tailBiasedArrival(o, rng);
+            const std::uint64_t kind = rng.nextBounded(4);
+            const Cycles d = kind == 0 ? 0 : rng.nextBounded(40);
+            const std::uint64_t bytes = 1 + rng.nextBounded(256);
+            const Cycles service = o.serviceCycles(bytes);
+            const Cycles expect = o.reserveFor(kind < 2 ? d : service, now);
+            for (BandwidthResource& r : live) {
+                Cycles got = 0;
+                if (kind < 2) {
+                    got = r.reserveFor(d, now); // d == 0 takes one cycle
+                } else if (kind == 2) {
+                    got = r.reserve(bytes, now);
+                } else {
+                    ASSERT_EQ(r.serviceCycles(bytes), service);
+                    got = r.reserveUntilDone(bytes, now) - service;
+                }
+                ASSERT_EQ(got, expect) << "step " << i << " now " << now;
+                ASSERT_EQ(r.reservations(), o.reservations);
+                ASSERT_EQ(r.totalQueueCycles(), o.queueCycles);
+                ASSERT_EQ(r.nextFree(), o.nextFree());
+            }
+        }
+        // The cap was reached, so far-past arrivals met a full list.
+        EXPECT_EQ(o.ivs.size(), 128u);
+        EXPECT_GT(o.queueCycles, 0u);
+    }
 }
 
 TEST(LatencyBreakdown, TotalsAndAverages)
