@@ -1,10 +1,11 @@
 /**
- * Per-layer microbenchmarks of the engine's per-access lookup kernels:
- * busy-list reservation, consistent-hash locate and ring rebuild,
- * miss-curve sampler observe, and the checkpoint CRC. Each case times one
- * component in isolation on google-benchmark, so a change to one kernel
- * can be measured without the noise of a whole simulation. Advisory
- * only: no baseline gates these numbers.
+ * Per-layer microbenchmarks of the engine's per-access lookup kernels
+ * (busy-list reservation, consistent-hash locate and ring rebuild,
+ * miss-curve sampler observe, the checkpoint CRC) and of the epoch
+ * barrier. Each case times one component in isolation on
+ * google-benchmark, so a change to one kernel can be measured without
+ * the noise of a whole simulation. Advisory only: no baseline gates
+ * these numbers.
  *
  *     ./build/bench/bench_layers [--benchmark_filter=Locate]
  */
@@ -12,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,6 +22,7 @@
 #include "sampler/sampler.h"
 #include "sim/checkpoint.h"
 #include "sim/resource.h"
+#include "sim/sharded_executor.h"
 
 using namespace ndpext;
 
@@ -166,6 +169,26 @@ BM_Crc32(benchmark::State& state)
 }
 
 BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+/**
+ * One forEachShard round trip with empty shard bodies on one thread per
+ * shard (the default): the fixed cost every epoch barrier pays to wake
+ * the workers and wait for them. Real time, since the caller mostly
+ * waits. With empty bodies the caller may claim every shard before a
+ * worker wakes, so this is a lower bound on a real barrier's cost.
+ */
+void
+BM_ShardBarrier(benchmark::State& state)
+{
+    const auto shards = static_cast<std::size_t>(state.range(0));
+    ShardedExecutor exec(static_cast<std::uint32_t>(shards));
+    const std::function<void(std::size_t)> body = [](std::size_t) {};
+    for (auto _ : state) {
+        exec.forEachShard(shards, body);
+    }
+}
+
+BENCHMARK(BM_ShardBarrier)->Arg(2)->Arg(8)->UseRealTime();
 
 } // namespace
 

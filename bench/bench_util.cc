@@ -62,7 +62,9 @@ benchConfig(const BenchArgs& args)
 {
     SystemConfig cfg = SystemConfig::scaledDefault();
     cfg.memType = args.memType;
-    cfg.numThreads = args.threads;
+    if (args.threads != 0) {
+        cfg.numThreads = args.threads;
+    }
     cfg.finalize();
     return cfg;
 }

@@ -53,10 +53,11 @@ struct BenchArgs
     /** Sub-experiment selector (--exp=...). */
     std::string exp;
     /**
-     * Simulation threads (--threads=N). Results are identical for any
-     * value; this only changes wall-clock time.
+     * Simulation threads (--threads=N); 0 = not given, which keeps
+     * SystemConfig's default of one thread per shard. Results are
+     * identical for any value; this only changes wall-clock time.
      */
-    std::uint32_t threads = 1;
+    std::uint32_t threads = 0;
     /** Workload filter (--workloads=pr,bfs,...). Empty = bench default. */
     std::vector<std::string> workloads;
     /** Write recorded results as JSON (--stats-json=FILE). Empty = off. */

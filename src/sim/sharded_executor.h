@@ -14,6 +14,7 @@
 #ifndef NDPEXT_SIM_SHARDED_EXECUTOR_H
 #define NDPEXT_SIM_SHARDED_EXECUTOR_H
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -23,6 +24,17 @@
 #include <vector>
 
 namespace ndpext {
+
+/**
+ * Threads that run `shards` shards when `requested` are asked for: at
+ * least one (the caller) and at most one per shard, since a thread with
+ * no shard to claim only idles at the barrier.
+ */
+constexpr std::uint32_t
+shardThreads(std::uint32_t requested, std::uint32_t shards)
+{
+    return std::max<std::uint32_t>(std::min(requested, shards), 1);
+}
 
 class ShardedExecutor
 {

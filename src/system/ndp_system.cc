@@ -800,9 +800,7 @@ NdpSystem::run(const Workload& workload)
     // event (epoch boundary or scheduled failure); the runtime acts at
     // the barrier, then the interval repeats. The decomposition is fixed
     // per stack, so any --threads value produces identical results.
-    const std::uint32_t threads = std::min<std::uint32_t>(
-        std::max<std::uint32_t>(cfg_.numThreads, 1), numShards);
-    ShardedExecutor exec(threads);
+    ShardedExecutor exec(shardThreads(cfg_.numThreads, numShards));
 
     const auto engine_start = std::chrono::steady_clock::now();
     // First heartbeat before any epoch completes, so staleness monitors

@@ -15,6 +15,7 @@
 #define NDPEXT_SYSTEM_SYSTEM_CONFIG_H
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "cpu/core.h"
@@ -96,8 +97,11 @@ struct SystemConfig
      * shard decomposition is always one shard per stack, independent of
      * the thread count, so results are bit-identical for any value; this
      * only controls how many shards run concurrently between barriers.
+     * The default exceeds any shard count, so shardThreads() resolves it
+     * to one thread per shard (DESIGN.md section 5.3); 1 runs the shards
+     * serially on the caller.
      */
-    std::uint32_t numThreads = 1;
+    std::uint32_t numThreads = std::numeric_limits<std::uint32_t>::max();
 
     /**
      * Memory backend selection per role (see mem/mem_backend_registry.h

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "serving/serving_workload.h"
 #include "sim/sharded_executor.h"
 #include "system/ndp_system.h"
+#include "telemetry/telemetry.h"
 #include "workloads/workload.h"
 
 namespace ndpext {
@@ -180,6 +184,124 @@ TEST(Sharding, ExcessThreadsAreClamped)
     const RunResult base = runWith(1, *w, PolicyKind::NdpExt);
     const RunResult got = runWith(64, *w, PolicyKind::NdpExt);
     expectIdentical(base, got);
+}
+
+std::string
+slurp(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+const char* const kTelemetryFiles[] = {".metrics.jsonl", ".trace.json",
+                                       ".decisions.jsonl",
+                                       ".exemplars.jsonl"};
+
+/**
+ * The CI serving-smoke colocation on 2 shards, shortened: four Poisson
+ * tenants, one of them reserved. numThreads keeps its default.
+ */
+SystemConfig
+servingConfig()
+{
+    SystemConfig cfg = SystemConfig::scaledDefault();
+    cfg.stacksX = 2;
+    cfg.stacksY = 1;
+    cfg.unitsX = 2;
+    cfg.unitsY = 2;
+    cfg.unitCacheBytes = 256_KiB;
+    cfg.runtime.epochCycles = 100'000;
+    for (const char* spec :
+         {"name=emb,workload=recsys,period=6000,qos=reserved,"
+          "reserve-pct=25,slo=60000,footprint-mb=4",
+          "name=graph,workload=pr,period=14000,slo=60000,footprint-mb=4",
+          "name=tensor,workload=mv,period=14000,slo=60000,footprint-mb=4",
+          "name=web,workload=bfs,period=14000,slo=60000,footprint-mb=4"}) {
+        TenantSpec tenant;
+        std::string error;
+        EXPECT_TRUE(parseTenantSpec(spec, &tenant, &error)) << error;
+        cfg.serving.tenants.push_back(tenant);
+    }
+    cfg.serving.horizonCycles = 1'000'000;
+    cfg.finalize();
+    return cfg;
+}
+
+struct ServingRun
+{
+    RunResult result;
+    /** writeAll's output, one entry per kTelemetryFiles suffix. */
+    std::vector<std::string> files;
+};
+
+/**
+ * One serving run with request tracing and a checkpoint every epoch
+ * (each snapshot flushes the telemetry into .part side files, which
+ * writeAll stitches back together).
+ */
+ServingRun
+runServing(const SystemConfig& cfg, const std::string& prefix)
+{
+    ServingWorkload w(cfg.serving, cfg.runtime.epochCycles);
+    w.prepare(tinyParams());
+    TelemetryConfig tc;
+    tc.outPrefix = prefix;
+    tc.traceRequests = true;
+    tc.traceSlowK = 4;
+    tc.traceUniformK = 4;
+    Telemetry tel(tc);
+    NdpSystem sys(cfg, PolicyKind::NdpExt);
+    sys.attachTelemetry(&tel);
+    sys.setCheckpointing(prefix + ".ckpt", 1);
+    ServingRun out;
+    out.result = sys.run(w);
+    std::string error;
+    EXPECT_TRUE(tel.writeAll(&error)) << error;
+    for (const char* suffix : kTelemetryFiles) {
+        out.files.push_back(slurp(prefix + suffix));
+    }
+    return out;
+}
+
+TEST(ShardedExecutor, ThreadCountClampsToShards)
+{
+    // The default config runs one thread per shard ...
+    const std::uint32_t byDefault = SystemConfig().numThreads;
+    EXPECT_EQ(shardThreads(byDefault, 1), 1u);
+    EXPECT_EQ(shardThreads(byDefault, 2), 2u);
+    EXPECT_EQ(shardThreads(byDefault, 8), 8u);
+    EXPECT_EQ(shardThreads(byDefault, 1024), 1024u);
+    // ... and an explicit N runs min(N, shards).
+    EXPECT_EQ(shardThreads(1, 8), 1u);
+    EXPECT_EQ(shardThreads(3, 8), 3u);
+    EXPECT_EQ(shardThreads(8, 8), 8u);
+    EXPECT_EQ(shardThreads(64, 8), 8u);
+    EXPECT_EQ(shardThreads(4, 2), 2u);
+}
+
+TEST(Sharding, DefaultMatchesSerial)
+{
+    const SystemConfig byDefault = servingConfig();
+    ASSERT_EQ(shardThreads(byDefault.numThreads,
+                           byDefault.stacksX * byDefault.stacksY),
+              2u);
+    SystemConfig serial = byDefault;
+    serial.numThreads = 1;
+
+    const ServingRun got =
+        runServing(byDefault, ::testing::TempDir() + "shard_default");
+    const ServingRun base =
+        runServing(serial, ::testing::TempDir() + "shard_serial");
+
+    EXPECT_GT(base.result.stats.get("tenant.emb.retired"), 0.0);
+    EXPECT_GE(base.result.reconfigurations, 1u);
+    expectIdentical(base.result, got.result);
+    for (std::size_t i = 0; i < base.files.size(); ++i) {
+        EXPECT_FALSE(base.files[i].empty()) << kTelemetryFiles[i];
+        EXPECT_EQ(base.files[i], got.files[i]) << kTelemetryFiles[i];
+    }
 }
 
 TEST(ShardedExecutor, BackToBackJobsRunEachShardOnce)

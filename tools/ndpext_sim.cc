@@ -49,10 +49,11 @@
  *                        tunable of the chosen arrival process
  *   --horizon=N          serving: last admissible arrival cycle
  *                        (K/M/G suffixes; default 2M)
- *   --threads=N          simulation threads (default 1). Results are
- *                        bit-identical for any value: the machine is
- *                        always decomposed into one shard per stack and
- *                        N only controls parallel shard execution.
+ *   --threads=N          simulation threads (default: one per stack;
+ *                        1 runs serially). Results are bit-identical for
+ *                        any value: the machine is always decomposed
+ *                        into one shard per stack and N only controls
+ *                        parallel shard execution.
  *   --mem-backend.ROLE=NAME[,key=val...]
  *                        memory backend per role (unit|ext|host), e.g.
  *                          --mem-backend.ext=frfcfs,queue=16
@@ -132,7 +133,8 @@ constexpr const char* kUsage =
     "                      (--list-arrivals shows arrival processes)\n"
     "  --horizon=N         serving: last admissible arrival cycle\n"
     "                      (K/M/G suffixes)\n"
-    "  --threads=N         simulation threads (same results for any N)\n"
+    "  --threads=N         simulation threads (default one per stack;\n"
+    "                      same results for any N)\n"
     "  --mem-backend.ROLE=NAME[,key=val...]\n"
     "                      backend for ROLE in unit|ext|host\n"
     "                      (--list-mem-backends shows what is available)\n"
@@ -202,7 +204,8 @@ struct Options
     std::vector<std::string> tenantSpecs;
     std::uint64_t horizon = 0;
     bool horizonSet = false;
-    std::uint64_t threads = 1;
+    /** 0 = not given: SystemConfig's default, one thread per shard. */
+    std::uint64_t threads = 0;
     /** Per-role backend selections; unset roles keep the defaults. */
     MemBackendConfig memBackendUnit;
     bool memBackendUnitSet = false;
@@ -646,7 +649,9 @@ main(int argc, char** argv)
     cfg.unitsY = opt.unitsY;
     cfg.memType = opt.mem;
     cfg.unitCacheBytes = opt.cacheKb * 1024;
-    cfg.numThreads = static_cast<std::uint32_t>(opt.threads);
+    if (opt.threads != 0) {
+        cfg.numThreads = static_cast<std::uint32_t>(opt.threads);
+    }
     if (opt.epoch != 0) {
         cfg.runtime.epochCycles = opt.epoch;
     }
